@@ -17,6 +17,7 @@ import (
 	"repro"
 	"repro/internal/core"
 	"repro/internal/datasets"
+	"repro/internal/distance"
 	"repro/internal/experiments"
 	"repro/internal/provenance"
 )
@@ -323,25 +324,23 @@ func BenchmarkSummarizeStep(b *testing.B) {
 	}
 }
 
-// --- Scoring layouts: candidate-major vs batched vs delta ---
-// The A/B/C triple behind Config.SequentialScoring / FullEvalScoring:
-// the same multi-step MovieLens run scored candidate-major (one
-// Estimator.Distance call per probe), through the materialized
-// valuation-major Estimator.DistanceBatch sweep, and through the
-// incremental Estimator.DistanceDelta engine (the default).
+// --- Scoring, one path per input kind ---
+// A cold 3-step run per input kind. MovieLens is an aggregation: the
+// delta engine plans it and scores on the valuation-blocked kernel. DDP
+// cannot be planned: it scores through Estimator.DistanceBatch's
+// tree-walk sweep. The check after the loop pins which path ran.
 
-func benchSummarizeScoring(b *testing.B, mode string) {
+func benchSummarizeScoring(b *testing.B, w *datasets.Workload, wantBatch bool) {
 	b.Helper()
-	w := benchWorkload(b)
+	var est *distance.Estimator
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		est = w.Estimator(datasets.CancelSingleAnnotation)
 		s, err := core.New(core.Config{
-			Policy:            w.Policy,
-			Estimator:         w.Estimator(datasets.CancelSingleAnnotation),
-			WDist:             1,
-			MaxSteps:          3,
-			SequentialScoring: mode == "seq",
-			FullEvalScoring:   mode == "batch",
+			Policy:    w.Policy,
+			Estimator: est,
+			WDist:     1,
+			MaxSteps:  3,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -350,13 +349,20 @@ func benchSummarizeScoring(b *testing.B, mode string) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	if st := est.Stats(); (st.BatchCalls > 0) != wantBatch || (st.DeltaCalls > 0) == wantBatch {
+		b.Fatalf("scored through the wrong path: %d batch calls, %d delta calls", st.BatchCalls, st.DeltaCalls)
+	}
 }
 
-func BenchmarkSummarizeScoringSequential(b *testing.B) { benchSummarizeScoring(b, "seq") }
+func BenchmarkSummarizeScoringDelta(b *testing.B) {
+	benchSummarizeScoring(b, benchWorkload(b), false)
+}
 
-func BenchmarkSummarizeScoringBatch(b *testing.B) { benchSummarizeScoring(b, "batch") }
-
-func BenchmarkSummarizeScoringDelta(b *testing.B) { benchSummarizeScoring(b, "delta") }
+func BenchmarkSummarizeScoringDDP(b *testing.B) {
+	w := datasets.DDP(datasets.DefaultDDPConfig(), rand.New(rand.NewSource(1)))
+	benchSummarizeScoring(b, w, true)
+}
 
 // BenchmarkApplyMapping measures homomorphism application + simplify.
 func BenchmarkApplyMapping(b *testing.B) {

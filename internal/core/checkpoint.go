@@ -17,10 +17,9 @@ import (
 // disturbing the random stream), and the positions of the two random
 // streams (candidate-cap shuffling and Monte-Carlo sampling).
 //
-// Resume replays the trace onto p0 and continues the loop; the
-// determinism of every scoring engine (seq/batch/delta, any
-// Parallelism) makes the resumed run bit-identical to an uninterrupted
-// one.
+// Resume replays the trace onto p0 and continues the loop; scoring is
+// deterministic on every path (delta or batch, any Parallelism), so the
+// resumed run is bit-identical to an uninterrupted one.
 type Checkpoint struct {
 	// Step is the number of committed merge steps the snapshot covers
 	// (always len(Steps); kept explicit for serialized forms).
@@ -86,8 +85,8 @@ func cloneSteps(steps []Step) []Step {
 // over p0.
 //
 // The Summarizer must be configured identically to the run that emitted
-// the checkpoint (same weights, bounds, estimator class, scoring engine
-// flags); Resume can detect only trace-level divergence (a replayed
+// the checkpoint (same weights, bounds, estimator class and sampling);
+// Resume can detect only trace-level divergence (a replayed
 // merge naming differently than recorded), which it reports as an
 // error.
 func (s *Summarizer) Resume(ctx context.Context, p0 provenance.Expression, cp *Checkpoint) (*Summary, error) {

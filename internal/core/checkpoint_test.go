@@ -13,22 +13,35 @@ import (
 	"repro/internal/randx"
 )
 
-// checkpointConfig builds a fresh workload + summarizer config for one
-// scoring engine, as a new process resuming from a checkpoint would.
-// sampled additionally turns on Monte-Carlo sampling and candidate
-// capping, so both random streams are exercised.
-func checkpointConfig(t *testing.T, seq, full, sampled bool) (*datasets.Workload, core.Config) {
+// engineRows are the scoring paths the checkpoint and warm-start
+// matrices cover: seq and delta run MovieLens through the delta engine
+// on one worker and on four; batch runs DDP, which the delta engine
+// cannot plan, through DistanceBatch.
+var engineRows = []struct {
+	name    string
+	load    func(*testing.T) *datasets.Workload
+	workers int
+}{
+	{"seq", movieLens, 1},
+	{"batch", ddpWorkload, 1},
+	{"delta", movieLens, 4},
+}
+
+// checkpointConfig builds a fresh workload + summarizer config, as a new
+// process resuming from a checkpoint would. sampled additionally turns
+// on Monte-Carlo sampling and candidate capping, so both random streams
+// are exercised.
+func checkpointConfig(t *testing.T, load func(*testing.T) *datasets.Workload, workers int, sampled bool) (*datasets.Workload, core.Config) {
 	t.Helper()
-	w := movieLens(t)
+	w := load(t)
 	est := w.Estimator(datasets.CancelSingleAnnotation)
 	cfg := core.Config{
-		Policy:            w.Policy,
-		Estimator:         est,
-		WDist:             0.7,
-		WSize:             0.3,
-		MaxSteps:          6,
-		SequentialScoring: seq,
-		FullEvalScoring:   full,
+		Policy:      w.Policy,
+		Estimator:   est,
+		WDist:       0.7,
+		WSize:       0.3,
+		MaxSteps:    6,
+		Parallelism: workers,
 	}
 	if sampled {
 		est.Samples = 8
@@ -40,74 +53,68 @@ func checkpointConfig(t *testing.T, seq, full, sampled bool) (*datasets.Workload
 }
 
 // TestResumeDeterminismMatrix is the acceptance criterion for the
-// checkpoint layer: for each scoring engine (candidate-major sequential,
-// materialized batch, incremental delta), a run checkpointed after every
-// step and resumed from each snapshot — in a fresh workload, config and
-// summarizer, as after a process restart — produces a byte-identical
-// summary to the uninterrupted run.
+// checkpoint layer: on each scoring path, enumerating and sampling, a
+// run checkpointed after every step and resumed from each snapshot — in
+// a fresh workload, config and summarizer, as after a process restart —
+// produces a byte-identical summary to the uninterrupted run.
 func TestResumeDeterminismMatrix(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		seq, full bool
-		sampled   bool
-	}{
-		{name: "seq", seq: true},
-		{name: "batch", full: true},
-		{name: "delta"},
-		{name: "seq-sampled", seq: true, sampled: true},
-		{name: "batch-sampled", full: true, sampled: true},
-		{name: "delta-sampled", sampled: true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			// Uninterrupted run, collecting a checkpoint after every step.
-			var cps []core.Checkpoint
-			w, cfg := checkpointConfig(t, tc.seq, tc.full, tc.sampled)
-			cfg.CheckpointEvery = 1
-			cfg.CheckpointSink = func(cp core.Checkpoint) error {
-				cps = append(cps, cp)
-				return nil
+	for _, row := range engineRows {
+		for _, sampled := range []bool{false, true} {
+			name := row.name
+			if sampled {
+				name += "-sampled"
 			}
-			s, err := core.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum, err := s.Summarize(w.Prov)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := mlSummaryKey(t, sum)
-			if len(cps) < 3 {
-				t.Fatalf("only %d checkpoints emitted", len(cps))
-			}
-			if cps[0].Step != 0 {
-				t.Fatalf("first checkpoint at step %d, want 0 (pre-first-merge snapshot)", cps[0].Step)
-			}
+			t.Run(name, func(t *testing.T) {
+				// Uninterrupted run, collecting a checkpoint after every step.
+				var cps []core.Checkpoint
+				w, cfg := checkpointConfig(t, row.load, row.workers, sampled)
+				cfg.CheckpointEvery = 1
+				cfg.CheckpointSink = func(cp core.Checkpoint) error {
+					cps = append(cps, cp)
+					return nil
+				}
+				s, err := core.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum, err := s.Summarize(w.Prov)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := mlSummaryKey(t, sum)
+				if len(cps) < 3 {
+					t.Fatalf("only %d checkpoints emitted", len(cps))
+				}
+				if cps[0].Step != 0 {
+					t.Fatalf("first checkpoint at step %d, want 0 (pre-first-merge snapshot)", cps[0].Step)
+				}
 
-			for _, cp := range cps {
-				cp := cp
-				t.Run(fmt.Sprintf("resume-at-%d", cp.Step), func(t *testing.T) {
-					w2, cfg2 := checkpointConfig(t, tc.seq, tc.full, tc.sampled)
-					s2, err := core.New(cfg2)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sum2, err := s2.Resume(context.Background(), w2.Prov, &cp)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := mlSummaryKey(t, sum2); got != want {
-						t.Fatalf("resume at step %d diverged:\n%s\n--- want ---\n%s", cp.Step, got, want)
-					}
-				})
-			}
-		})
+				for _, cp := range cps {
+					cp := cp
+					t.Run(fmt.Sprintf("resume-at-%d", cp.Step), func(t *testing.T) {
+						w2, cfg2 := checkpointConfig(t, row.load, row.workers, sampled)
+						s2, err := core.New(cfg2)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sum2, err := s2.Resume(context.Background(), w2.Prov, &cp)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got := mlSummaryKey(t, sum2); got != want {
+							t.Fatalf("resume at step %d diverged:\n%s\n--- want ---\n%s", cp.Step, got, want)
+						}
+					})
+				}
+			})
+		}
 	}
 }
 
 // TestCheckpointRunMatchesPlain pins that turning checkpointing on does
 // not perturb the run itself (the sink only observes).
 func TestCheckpointRunMatchesPlain(t *testing.T) {
-	w, cfg := checkpointConfig(t, false, false, true)
+	w, cfg := checkpointConfig(t, movieLens, 1, true)
 	s, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +125,7 @@ func TestCheckpointRunMatchesPlain(t *testing.T) {
 	}
 	want := mlSummaryKey(t, sum)
 
-	w2, cfg2 := checkpointConfig(t, false, false, true)
+	w2, cfg2 := checkpointConfig(t, movieLens, 1, true)
 	cfg2.CheckpointEvery = 2
 	cfg2.CheckpointSink = func(core.Checkpoint) error { return nil }
 	s2, err := core.New(cfg2)
@@ -138,7 +145,7 @@ func TestCheckpointRunMatchesPlain(t *testing.T) {
 // contract: a canceled context stops the run and surfaces
 // context.Canceled.
 func TestSummarizeContextCancel(t *testing.T) {
-	w, cfg := checkpointConfig(t, false, false, false)
+	w, cfg := checkpointConfig(t, movieLens, 1, false)
 	ctx, cancel := context.WithCancel(context.Background())
 	steps := 0
 	cfg.StepObserver = func(core.StepEvent) {
@@ -159,7 +166,7 @@ func TestSummarizeContextCancel(t *testing.T) {
 	}
 
 	// An already-expired deadline surfaces DeadlineExceeded before any step.
-	w2, cfg2 := checkpointConfig(t, false, false, false)
+	w2, cfg2 := checkpointConfig(t, movieLens, 1, false)
 	dctx, dcancel := context.WithTimeout(context.Background(), -1)
 	defer dcancel()
 	s2, err := core.New(cfg2)
@@ -174,7 +181,7 @@ func TestSummarizeContextCancel(t *testing.T) {
 // TestCheckpointSinkErrorAborts pins that a failing sink aborts the run
 // (persistence failures must not be silently dropped).
 func TestCheckpointSinkErrorAborts(t *testing.T) {
-	w, cfg := checkpointConfig(t, false, false, false)
+	w, cfg := checkpointConfig(t, movieLens, 1, false)
 	sinkErr := errors.New("disk full")
 	calls := 0
 	cfg.CheckpointSink = func(cp core.Checkpoint) error {
@@ -201,7 +208,7 @@ func TestCheckpointSinkErrorAborts(t *testing.T) {
 // captured is rejected up front, and resuming with mismatched RNG
 // configuration is rejected at restore time.
 func TestCheckpointRNGValidation(t *testing.T) {
-	w, cfg := checkpointConfig(t, false, false, true)
+	w, cfg := checkpointConfig(t, movieLens, 1, true)
 	cfg.RandSrc = nil
 	cfg.Rand = nil
 	cfg.CandidateCap = 10
@@ -215,7 +222,7 @@ func TestCheckpointRNGValidation(t *testing.T) {
 		t.Fatal("checkpointing with an unsnapshotable candidate RNG must be rejected")
 	}
 
-	_, cfg2 := checkpointConfig(t, false, false, true)
+	_, cfg2 := checkpointConfig(t, movieLens, 1, true)
 	cfg2.Estimator.RandSrc = nil
 	cfg2.CheckpointEvery = 1
 	cfg2.CheckpointSink = func(core.Checkpoint) error { return nil }
@@ -225,7 +232,7 @@ func TestCheckpointRNGValidation(t *testing.T) {
 
 	// A checkpoint from a non-sampled run cannot resume a sampled config.
 	var cps []core.Checkpoint
-	_, cfg3 := checkpointConfig(t, false, false, false)
+	_, cfg3 := checkpointConfig(t, movieLens, 1, false)
 	cfg3.CheckpointEvery = 1
 	cfg3.CheckpointSink = func(cp core.Checkpoint) error { cps = append(cps, cp); return nil }
 	s, err := core.New(cfg3)
@@ -235,7 +242,7 @@ func TestCheckpointRNGValidation(t *testing.T) {
 	if _, err := s.Summarize(w.Prov); err != nil {
 		t.Fatal(err)
 	}
-	w4, cfg4 := checkpointConfig(t, false, false, true)
+	w4, cfg4 := checkpointConfig(t, movieLens, 1, true)
 	s4, err := core.New(cfg4)
 	if err != nil {
 		t.Fatal(err)

@@ -16,58 +16,52 @@ import (
 
 // TestExtendEmptyPriorMatchesSummarize is the warm-start oracle: Extend
 // with an empty (or all-singleton) prior must be byte-identical to
-// Summarize on every scoring engine, with exact enumeration and with
+// Summarize on every scoring path, with exact enumeration and with
 // Monte-Carlo sampling alike. Extend delegates to the from-scratch path
 // when the seed trace is empty, so any divergence here means the
 // delegation (or the singleton filtering in SeedSteps) broke.
 func TestExtendEmptyPriorMatchesSummarize(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		seq, full bool
-		sampled   bool
-	}{
-		{name: "seq", seq: true},
-		{name: "batch", full: true},
-		{name: "delta"},
-		{name: "seq-sampled", seq: true, sampled: true},
-		{name: "batch-sampled", full: true, sampled: true},
-		{name: "delta-sampled", sampled: true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			run := func(prior provenance.Groups, extend bool) string {
-				w, cfg := checkpointConfig(t, tc.seq, tc.full, tc.sampled)
-				s, err := core.New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var sum *core.Summary
-				if extend {
-					sum, err = s.Extend(context.Background(), w.Prov, prior)
-				} else {
-					sum, err = s.Summarize(w.Prov)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if extend && sum.ExtendedFrom != 0 {
-					t.Fatalf("ExtendedFrom = %d for an empty prior, want 0", sum.ExtendedFrom)
-				}
-				return mlSummaryKey(t, sum)
+	for _, row := range engineRows {
+		for _, sampled := range []bool{false, true} {
+			name := row.name
+			if sampled {
+				name += "-sampled"
 			}
-			want := run(nil, false)
-			if got := run(nil, true); got != want {
-				t.Fatalf("Extend(nil prior) diverged from Summarize:\n%s\n--- want ---\n%s", got, want)
-			}
-			// All-singleton priors contribute no seed steps either.
-			w := movieLens(t)
-			singles := make(provenance.Groups)
-			for _, a := range w.Prov.Annotations() {
-				singles[a] = []provenance.Annotation{a}
-			}
-			if got := run(singles, true); got != want {
-				t.Fatalf("Extend(all-singleton prior) diverged from Summarize:\n%s\n--- want ---\n%s", got, want)
-			}
-		})
+			t.Run(name, func(t *testing.T) {
+				run := func(prior provenance.Groups, extend bool) string {
+					w, cfg := checkpointConfig(t, row.load, row.workers, sampled)
+					s, err := core.New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var sum *core.Summary
+					if extend {
+						sum, err = s.Extend(context.Background(), w.Prov, prior)
+					} else {
+						sum, err = s.Summarize(w.Prov)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if extend && sum.ExtendedFrom != 0 {
+						t.Fatalf("ExtendedFrom = %d for an empty prior, want 0", sum.ExtendedFrom)
+					}
+					return mlSummaryKey(t, sum)
+				}
+				want := run(nil, false)
+				if got := run(nil, true); got != want {
+					t.Fatalf("Extend(nil prior) diverged from Summarize:\n%s\n--- want ---\n%s", got, want)
+				}
+				// All-singleton priors contribute no seed steps either.
+				singles := make(provenance.Groups)
+				for _, a := range row.load(t).Prov.Annotations() {
+					singles[a] = []provenance.Annotation{a}
+				}
+				if got := run(singles, true); got != want {
+					t.Fatalf("Extend(all-singleton prior) diverged from Summarize:\n%s\n--- want ---\n%s", got, want)
+				}
+			})
+		}
 	}
 }
 

@@ -1,208 +1,160 @@
-// External test package: the seeded-dataset determinism tests need
-// internal/datasets, which depends on core via the baselines, so they
-// cannot live in package core.
 package core_test
 
 import (
-	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/datasets"
+	"repro/internal/provenance"
 )
 
-func movieLens(t *testing.T) *datasets.Workload {
+// runMovieLens summarizes the seeded MovieLens workload at the given
+// worker count. tweak, when non-nil, adjusts the estimator and config
+// before the summarizer is built.
+func runMovieLens(t *testing.T, workers, maxSteps int, tweak func(*datasets.Workload, *core.Config)) (*datasets.Workload, *core.Summary, core.Config) {
 	t.Helper()
-	cfg := datasets.DefaultMovieLensConfig()
-	cfg.Users = 14
-	cfg.Movies = 6
-	return datasets.MovieLens(cfg, rand.New(rand.NewSource(9)))
-}
-
-func mlSummaryKey(t *testing.T, sum *core.Summary) string {
-	t.Helper()
-	if len(sum.Steps) == 0 {
-		t.Fatal("workload produced no merges")
+	w := movieLens(t)
+	cfg := core.Config{
+		Policy:      w.Policy,
+		Estimator:   w.Estimator(datasets.CancelSingleAnnotation),
+		WDist:       0.7,
+		WSize:       0.3,
+		MaxSteps:    maxSteps,
+		Parallelism: workers,
 	}
-	var b strings.Builder
-	for _, st := range sum.Steps {
-		fmt.Fprintf(&b, "%v->%s score=%b dist=%b size=%d\n", st.Members, st.New, st.Score, st.Dist, st.Size)
+	if tweak != nil {
+		tweak(w, &cfg)
 	}
-	fmt.Fprintf(&b, "dist=%b stop=%s expr=%s", sum.Dist, sum.StopReason, sum.Expr)
-	return b.String()
+	s, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := s.Summarize(w.Prov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, sum, cfg
 }
 
 // TestMovieLensScoringModesIdentical runs the same seeded MovieLens
-// workload through every scoring layout — candidate-major sequential,
-// materialized batch (FullEvalScoring), and the default incremental
-// delta engine, each at Parallelism 1 and 4 — and requires byte-identical
-// summaries: same merges, bit-identical scores and distances, same
-// rendered expression. The delta runs must actually exercise the delta
-// engine (counters move), not silently fall back.
+// workload through the delta engine at Parallelism 1, 2, 4 and 6 and
+// requires byte-identical summaries: same merges, bit-identical scores
+// and distances, same rendered expression. Every run must score through
+// the delta engine (counters move, no DistanceBatch fallback), and the
+// distance of every committed step must equal, bit for bit, the plain
+// Def. 3.2.2 loop (Estimator.ReferenceDistance) on the replayed merges.
 func TestMovieLensScoringModesIdentical(t *testing.T) {
-	run := func(seqScoring, fullEval, legacy, scalar bool, workers int, wantDelta bool) string {
-		w := movieLens(t)
-		est := w.Estimator(datasets.CancelSingleAnnotation)
-		s, err := core.New(core.Config{
-			Policy:            w.Policy,
-			Estimator:         est,
-			WDist:             0.7,
-			WSize:             0.3,
-			MaxSteps:          6,
-			SequentialScoring: seqScoring,
-			FullEvalScoring:   fullEval,
-			LegacyEval:        legacy,
-			ScalarEval:        scalar,
-			Parallelism:       workers,
-		})
-		if err != nil {
-			t.Fatal(err)
+	var want string
+	for _, workers := range []int{1, 2, 4, 6} {
+		_, sum, cfg := runMovieLens(t, workers, 6, nil)
+		st := cfg.Estimator.Stats()
+		if st.DeltaCalls == 0 || st.BatchCalls != 0 {
+			t.Fatalf("workers=%d: %d delta calls, %d batch calls; want delta only", workers, st.DeltaCalls, st.BatchCalls)
 		}
-		sum, err := s.Summarize(w.Prov)
-		if err != nil {
-			t.Fatal(err)
+		if st.DeltaSkips == 0 {
+			t.Fatalf("workers=%d: delta engine never short-circuited a truth-stable pair", workers)
 		}
-		st := est.Stats()
-		if wantDelta && st.DeltaCalls == 0 {
-			t.Fatal("delta-mode run never reached the delta engine")
+		got := mlSummaryKey(t, sum)
+		if workers == 1 {
+			want = got
+			checkReferenceDists(t, sum)
+			continue
 		}
-		if !wantDelta && st.DeltaCalls != 0 {
-			t.Fatalf("non-delta run made %d delta calls", st.DeltaCalls)
+		if got != want {
+			t.Fatalf("workers=%d diverged from the sequential run:\n%s\n--- want ---\n%s", workers, got, want)
 		}
-		if wantDelta && st.DeltaSkips == 0 {
-			t.Fatal("delta-mode run never short-circuited a truth-stable pair")
-		}
-		return mlSummaryKey(t, sum)
 	}
-	want := run(true, false, false, false, 1, false)
-	for _, tc := range []struct {
-		name                      string
-		seq, full, legacy, scalar bool
-		workers                   int
-	}{
-		{"sequential-parallel", true, false, false, false, 4},
-		{"full-eval-batch", false, true, false, false, 1},
-		{"full-eval-batch-parallel", false, true, false, false, 4},
-		{"delta", false, false, false, false, 1},
-		{"delta-parallel", false, false, false, false, 4},
-		// LegacyEval disables the arena evaluators (and the delta path):
-		// the recursive reference must reproduce the arena runs
-		// byte-for-byte, in both remaining scoring layouts.
-		{"legacy-sequential", true, false, true, false, 1},
-		{"legacy-sequential-parallel", true, false, true, false, 4},
-		{"legacy-batch", false, false, true, false, 1},
-		{"legacy-batch-parallel", false, false, true, false, 4},
-		{"legacy-full-eval-batch", false, true, true, false, 1},
-		// ScalarEval disables only the valuation-blocked kernel: every
-		// scoring layout falls back to per-valuation arena evaluation
-		// and must reproduce the blocked runs byte-for-byte.
-		{"scalar-sequential", true, false, false, true, 1},
-		{"scalar-sequential-parallel", true, false, false, true, 4},
-		{"scalar-full-eval-batch", false, true, false, true, 1},
-		{"scalar-full-eval-batch-parallel", false, true, false, true, 4},
-		{"scalar-delta", false, false, false, true, 1},
-		{"scalar-delta-parallel", false, false, false, true, 4},
-	} {
-		wantDelta := !tc.seq && !tc.full && !tc.legacy
-		if got := run(tc.seq, tc.full, tc.legacy, tc.scalar, tc.workers, wantDelta); got != want {
-			t.Fatalf("%s diverged from candidate-major sequential:\n%s\n--- want ---\n%s", tc.name, got, want)
+}
+
+// checkReferenceDists replays sum's merges on a fresh copy of the
+// MovieLens workload and compares each Step.Dist with the reference
+// distance over the whole valuation class.
+func checkReferenceDists(t *testing.T, sum *core.Summary) {
+	t.Helper()
+	rw := movieLens(t)
+	// Stopping at once (TargetSize = the original size) yields the state
+	// after the free Prop. 4.2.1 pre-step, which scores nothing.
+	pre, err := core.New(core.Config{
+		Policy: rw.Policy, Estimator: rw.Estimator(datasets.CancelSingleAnnotation),
+		WDist: 0.7, WSize: 0.3, TargetSize: rw.Prov.Size(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, err := pre.Summarize(rw.Prov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p0, cur, cum := rw.Prov, start.Expr, start.Mapping
+	origAnns := p0.Annotations()
+	ref := rw.Estimator(datasets.CancelSingleAnnotation)
+	vals := ref.Class.Valuations()
+	for k, step := range sum.Steps {
+		name := rw.Policy.MergeName(step.Members)
+		if name != step.New {
+			t.Fatalf("step %d: replay names the merge %s, engine named it %s", k+1, name, step.New)
 		}
+		h := provenance.MergeMapping(name, step.Members...)
+		cur, cum = cur.Apply(h), cum.Compose(h)
+		if d := ref.ReferenceDistance(p0, cur, cum, provenance.GroupsOf(origAnns, cum), vals); d != step.Dist {
+			t.Fatalf("step %d: Step.Dist %b != reference distance %b", k+1, step.Dist, d)
+		}
+	}
+	if got := cur.String(); got != sum.Expr.String() {
+		t.Fatalf("replayed expression diverged:\n%s\n--- engine ---\n%s", got, sum.Expr)
 	}
 }
 
 // TestMovieLensMergePatchEquivalence is the acceptance test for
 // Plan.ApplyMerge: a full seeded MovieLens run with in-place merge
-// patching (the default) must be byte-identical to the same run with
-// NoMergePatch forcing a plan recompile after every commit — and the
-// default run must actually patch (MergePatches moves). Some commits
-// may still recompile by design: ApplyMerge bails when the patch would
-// be unsound or leave the arena more than half dead.
+// patching must be byte-identical to the same run with the estimator's
+// caches (and so its cached plan) dropped after every committed step,
+// which makes every step score on a freshly compiled plan — and the
+// patched run must actually patch (MergePatches moves). Some commits may
+// still recompile by design: ApplyMerge bails when the patch would be
+// unsound or leave the arena more than half dead.
 func TestMovieLensMergePatchEquivalence(t *testing.T) {
-	run := func(noPatch bool, workers int) (string, uint64, uint64) {
-		w := movieLens(t)
-		est := w.Estimator(datasets.CancelSingleAnnotation)
-		est.NoMergePatch = noPatch
-		s, err := core.New(core.Config{
-			Policy:      w.Policy,
-			Estimator:   est,
-			WDist:       0.7,
-			WSize:       0.3,
-			MaxSteps:    6,
-			Parallelism: workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum, err := s.Summarize(w.Prov)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := est.Stats()
-		return mlSummaryKey(t, sum), st.MergePatches, st.MergeRecompiles
-	}
-	want, patches, _ := run(false, 1)
-	if patches == 0 {
+	_, sum, cfg := runMovieLens(t, 1, 6, nil)
+	want := mlSummaryKey(t, sum)
+	if cfg.Estimator.Stats().MergePatches == 0 {
 		t.Fatal("default run never patched a plan in place")
 	}
-	got, patches, recompiles := run(true, 1)
-	if got != want {
-		t.Fatalf("recompile-per-step run diverged from patched run:\n%s\n--- want ---\n%s", got, want)
+	for _, workers := range []int{1, 4} {
+		_, sum, cfg := runMovieLens(t, workers, 6, func(_ *datasets.Workload, c *core.Config) {
+			est := c.Estimator
+			c.StepObserver = func(core.StepEvent) { est.ResetCache() }
+		})
+		if got := mlSummaryKey(t, sum); got != want {
+			t.Fatalf("workers=%d: recompile-per-step run diverged from patched run:\n%s\n--- want ---\n%s", workers, got, want)
+		}
+		if resets := cfg.Estimator.Stats().CacheResets; resets == 0 {
+			t.Fatalf("workers=%d: recompile-per-step run never dropped its caches", workers)
+		}
 	}
-	if patches != 0 || recompiles == 0 {
-		t.Fatalf("NoMergePatch run: patches=%d recompiles=%d, want 0/>0", patches, recompiles)
-	}
-	if got, _, _ := run(false, 4); got != want {
-		t.Fatalf("patched parallel run diverged:\n%s\n--- want ---\n%s", got, want)
+	if _, sum, _ := runMovieLens(t, 4, 6, nil); mlSummaryKey(t, sum) != want {
+		t.Fatalf("patched parallel run diverged:\n%s\n--- want ---\n%s", mlSummaryKey(t, sum), want)
 	}
 }
 
 // TestMovieLensSampledParallelIdentical is the sampling half of the
-// acceptance criterion on a real workload: Samples > 0 with
+// determinism criterion on a real workload: Samples > 0 with
 // Parallelism > 1 must reproduce the sequential run byte-identically
 // given the same seed, because each step's sample set is drawn once
-// before the candidate fan-out — on the default delta path and on the
-// materialized batch path alike.
+// before the candidate fan-out.
 func TestMovieLensSampledParallelIdentical(t *testing.T) {
-	run := func(fullEval, legacy bool, workers int) string {
-		w := movieLens(t)
-		est := w.Estimator(datasets.CancelSingleAnnotation)
-		est.Samples = 8
-		est.Rand = rand.New(rand.NewSource(21))
-		s, err := core.New(core.Config{
-			Policy:          w.Policy,
-			Estimator:       est,
-			WDist:           0.7,
-			WSize:           0.3,
-			MaxSteps:        5,
-			FullEvalScoring: fullEval,
-			LegacyEval:      legacy,
-			Parallelism:     workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum, err := s.Summarize(w.Prov)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return mlSummaryKey(t, sum)
+	sampled := func(_ *datasets.Workload, c *core.Config) {
+		c.Estimator.Samples = 8
+		c.Estimator.Rand = rand.New(rand.NewSource(21))
 	}
-	want := run(false, false, 1)
+	_, sum, cfg := runMovieLens(t, 1, 5, sampled)
+	want := mlSummaryKey(t, sum)
+	if st := cfg.Estimator.Stats(); st.Samples == 0 || st.DeltaCalls == 0 {
+		t.Fatalf("sampled run: %d samples, %d delta calls; want both > 0", st.Samples, st.DeltaCalls)
+	}
 	for _, workers := range []int{2, 6} {
-		if got := run(false, false, workers); got != want {
-			t.Fatalf("delta workers=%d diverged from sequential sampled run:\n%s\n--- want ---\n%s", workers, got, want)
-		}
-	}
-	for _, workers := range []int{1, 6} {
-		if got := run(true, false, workers); got != want {
-			t.Fatalf("full-eval workers=%d diverged from delta sampled run:\n%s\n--- want ---\n%s", workers, got, want)
-		}
-	}
-	for _, workers := range []int{1, 6} {
-		if got := run(false, true, workers); got != want {
-			t.Fatalf("legacy-eval workers=%d diverged from delta sampled run:\n%s\n--- want ---\n%s", workers, got, want)
+		if _, sum, _ := runMovieLens(t, workers, 5, sampled); mlSummaryKey(t, sum) != want {
+			t.Fatalf("workers=%d diverged from sequential sampled run:\n%s\n--- want ---\n%s", workers, mlSummaryKey(t, sum), want)
 		}
 	}
 }

@@ -27,12 +27,12 @@ type StepEvent struct {
 	// Candidates counts the candidate evaluations performed to choose
 	// this step (pair probes plus k-ary growth probes).
 	Candidates int
-	// CandidateTime is the wall time spent probing candidates this step
-	// (summed across workers when Parallelism > 1, so it can exceed the
-	// step's elapsed wall time).
+	// CandidateTime is the wall time of this step's cohort scoring calls
+	// (workers run inside each call, so it never exceeds the step's
+	// elapsed wall time).
 	CandidateTime time.Duration
 	// DeltaSkips counts candidates the delta-scoring engine pruned this
-	// step without a distance evaluation (0 under other engines).
+	// step without a distance evaluation (0 on the batch path).
 	DeltaSkips uint64
 	// Elapsed is the wall time since Summarize started, measured when the
 	// step was committed.

@@ -27,7 +27,9 @@ type BatchCandidate struct {
 // inner loop over candidates, so the per-valuation work that does not
 // depend on the candidate — the original expression's evaluation and the
 // φ-combined truth of every group the candidates share — is computed once
-// per valuation instead of once per (candidate, valuation).
+// per valuation instead of once per (candidate, valuation). Candidates
+// evaluate by tree walk, so any Expression is accepted; the summarizer
+// sends here the expressions DistanceDelta cannot plan (DDP).
 //
 // In sampling mode (Samples > 0) the valuation draws happen once, up
 // front, and every candidate is scored under the same draws (common
@@ -61,30 +63,12 @@ func (e *Estimator) DistanceBatch(p0 provenance.Expression, cands []BatchCandida
 	for _, v := range vals {
 		e.evalOriginal(v, p0)
 	}
-	// Compile each candidate into its arena once, amortized over the
-	// whole valuation sweep. A nil entry (non-Agg candidate, unknown
-	// node, or LegacyEval) falls back to interface dispatch per
-	// candidate.
-	var arenas []*provenance.Arena
-	if !e.LegacyEval {
-		arenas = make([]*provenance.Arena, len(cands))
-		for i := range cands {
-			if g, ok := cands[i].Expr.(*provenance.Agg); ok {
-				arenas[i] = provenance.CompileArena(g)
-			}
-		}
-	}
-
-	sweep := e.batchSweep
-	if arenas != nil && !e.ScalarEval {
-		sweep = e.batchSweepBlock
-	}
 	workers := e.Parallelism
 	if workers > len(cands) {
 		workers = len(cands)
 	}
 	if workers <= 1 {
-		sweep(p0, cands, arenas, vals, out, 0, len(cands))
+		e.batchSweep(p0, cands, vals, out, 0, len(cands))
 	} else {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -93,22 +77,13 @@ func (e *Estimator) DistanceBatch(p0 provenance.Expression, cands []BatchCandida
 			wg.Add(1)
 			go func(lo, hi int) {
 				defer wg.Done()
-				sweep(p0, cands, arenas, vals, out, lo, hi)
+				e.batchSweep(p0, cands, vals, out, lo, hi)
 			}(lo, hi)
 		}
 		wg.Wait()
 	}
-
-	n := float64(len(vals))
 	for i, total := range out {
-		d := total / n
-		if e.MaxError > 0 {
-			d /= e.MaxError
-			if d > 1 {
-				d = 1
-			}
-		}
-		out[i] = d
+		out[i] = e.normalize(total, len(vals))
 	}
 	return out
 }
@@ -130,71 +105,17 @@ func (e *Estimator) batchValuations() []provenance.Valuation {
 	return vals
 }
 
-// batchSweep scores cands[lo:hi] against every valuation, valuation-major.
-// Within a sweep, the φ-combined truth of each group is memoized by
-// member-slice identity, so groups shared across candidates are combined
-// once per valuation. Candidates with a compiled arena evaluate through
-// a truth-bitset fill (one memoized Truth per interned annotation) and
-// an iterative node pass; the rest fall back to the tree walk. The two
-// paths are bit-identical.
-func (e *Estimator) batchSweep(p0 provenance.Expression, cands []BatchCandidate, arenas []*provenance.Arena, vals []provenance.Valuation, out []float64, lo, hi int) {
-	ext := &memoExtendedValuation{phi: e.Phi}
-	var scratches []*provenance.ArenaScratch
-	var bits []provenance.Bitset
-	if arenas != nil {
-		scratches = make([]*provenance.ArenaScratch, hi-lo)
-		bits = make([]provenance.Bitset, hi-lo)
-		for ci := lo; ci < hi; ci++ {
-			if ar := arenas[ci]; ar != nil {
-				scratches[ci-lo] = ar.NewScratch()
-				bits[ci-lo] = ar.NewTruths()
-			}
-		}
-	}
-	for _, v := range vals {
-		orig := e.evalOriginal(v, p0) // cache hit after the prewarm above
-		ext.reset(v)
-		for ci := lo; ci < hi; ci++ {
-			c := cands[ci]
-			ext.groups = c.Groups
-			aligned := orig
-			if needsAlign(orig, c.Cumulative) {
-				aligned = c.Expr.AlignResult(orig, c.Cumulative)
-			}
-			var summ provenance.Result
-			if arenas != nil && arenas[ci] != nil {
-				ar := arenas[ci]
-				b := bits[ci-lo]
-				ar.FillTruths(b, ext.Truth)
-				summ = ar.Eval(b, scratches[ci-lo])
-			} else {
-				summ = c.Expr.Eval(ext)
-			}
-			out[ci] += e.VF.F(v, aligned, summ)
-			e.stats.evaluations.Add(1)
-		}
-	}
-}
-
-// batchSweepBlock is batchSweep's valuation-blocked variant: the
-// valuations split into blocks of up to 64 lanes, and each blockable
-// candidate packs the block's extended truths into words and evaluates
-// all lanes in one Arena.EvalBlock pass (node-major, word-level truth
-// ops) instead of one scalar arena pass per valuation. Workers still
-// partition candidates (out columns stay disjoint); within a worker the
-// blocks run outermost so the per-lane φ-memos fill once per block and
-// serve every candidate. Per-candidate sums accumulate lane-ascending
-// per block, i.e. in valuation order — bit-identical to batchSweep.
-// Candidates without a blockable arena fall back to the tree walk per
-// lane, which the arena differential tests pin to the same bits.
-func (e *Estimator) batchSweepBlock(p0 provenance.Expression, cands []BatchCandidate, arenas []*provenance.Arena, vals []provenance.Valuation, out []float64, lo, hi int) {
+// batchSweep scores cands[lo:hi] against every valuation by tree walk.
+// The valuations split into blocks of up to 64, and each block keeps one
+// extended valuation per lane whose φ-memo fills once per block and
+// serves every candidate: groups shared across candidates are combined
+// once per valuation. Per-candidate sums accumulate in valuation order,
+// so the result is bit-identical to ReferenceDistance.
+func (e *Estimator) batchSweep(p0 provenance.Expression, cands []BatchCandidate, vals []provenance.Valuation, out []float64, lo, hi int) {
 	exts := make([]*memoExtendedValuation, 64)
 	for j := range exts {
 		exts[j] = &memoExtendedValuation{phi: e.Phi}
 	}
-	tb := provenance.NewTruthBlock()
-	bs := provenance.NewBlockScratch()
-	summ := make([]provenance.Vector, 64)
 	var evals uint64
 	for lo64 := 0; lo64 < len(vals); lo64 += 64 {
 		block := vals[lo64:min(len(vals), lo64+64)]
@@ -203,40 +124,14 @@ func (e *Estimator) batchSweepBlock(p0 provenance.Expression, cands []BatchCandi
 		}
 		for ci := lo; ci < hi; ci++ {
 			c := cands[ci]
-			for j := range block {
-				exts[j].groups = c.Groups
-			}
-			ar := arenas[ci]
-			if ar == nil || !ar.Blockable() {
-				for j, v := range block {
-					orig := e.evalOriginal(v, p0)
-					aligned := orig
-					if needsAlign(orig, c.Cumulative) {
-						aligned = c.Expr.AlignResult(orig, c.Cumulative)
-					}
-					out[ci] += e.VF.F(v, aligned, c.Expr.Eval(exts[j]))
-					evals++
-				}
-				continue
-			}
-			tb.Reset(ar.NumAnns(), len(block))
-			for id, ann := range ar.Annotations() {
-				var w uint64
-				for j := range block {
-					if exts[j].Truth(ann) {
-						w |= 1 << uint(j)
-					}
-				}
-				tb.SetWord(int32(id), w)
-			}
-			ar.EvalBlock(tb, bs, summ[:len(block)])
 			for j, v := range block {
+				exts[j].groups = c.Groups
 				orig := e.evalOriginal(v, p0)
 				aligned := orig
 				if needsAlign(orig, c.Cumulative) {
 					aligned = c.Expr.AlignResult(orig, c.Cumulative)
 				}
-				out[ci] += e.VF.F(v, aligned, summ[j])
+				out[ci] += e.VF.F(v, aligned, c.Expr.Eval(exts[j]))
 				evals++
 			}
 		}

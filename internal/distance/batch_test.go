@@ -1,6 +1,7 @@
 package distance
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -46,73 +47,67 @@ func batchFixture(n int) (*provenance.Agg, []provenance.Annotation, []BatchCandi
 	return p0, anns, cands
 }
 
-// TestDistanceBatchMatchesDistance pins the tentpole's core contract: in
-// enumeration mode the valuation-major sweep is bit-identical to one
-// Distance call per candidate (same summands, same addition order).
+// TestDistanceBatchMatchesDistance pins the batch sweep's contract: in
+// enumeration mode the valuation-major tree-walk sweep and one Distance
+// call per candidate both equal the ReferenceDistance oracle bit for bit
+// (same summands, same addition order).
 func TestDistanceBatchMatchesDistance(t *testing.T) {
 	p0, anns, cands := batchFixture(8)
+	class := valuation.NewCancelSingleAnnotation(anns)
 	for _, maxErr := range []float64{0, 25} {
-		e := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
-		e.MaxError = maxErr
-		got := e.DistanceBatch(p0, cands)
-		ref := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
-		ref.MaxError = maxErr
+		newEst := func() *Estimator {
+			e := estimator(class, Euclidean())
+			e.MaxError = maxErr
+			return e
+		}
+		want := oracleDistances(newEst, p0, cands, class.Valuations())
+		sameBits(t, "batch", newEst().DistanceBatch(p0, cands), want)
+		e := newEst()
 		for i, c := range cands {
-			want := ref.Distance(p0, c.Expr, c.Cumulative, c.Groups)
-			if got[i] != want {
-				t.Fatalf("maxErr=%g candidate %d: batch %v != distance %v", maxErr, i, got[i], want)
+			if d := e.Distance(p0, c.Expr, c.Cumulative, c.Groups); d != want[i] {
+				t.Fatalf("maxErr=%g candidate %d: distance %v != oracle %v", maxErr, i, d, want[i])
 			}
 		}
 	}
 }
 
 // TestDistanceBatchParallelBitIdentical: per-candidate sums accumulate in
-// valuation order regardless of the worker partition, so any Parallelism
-// returns byte-identical distances.
+// valuation order regardless of the worker partition, so every
+// Parallelism equals the oracle bit for bit.
 func TestDistanceBatchParallelBitIdentical(t *testing.T) {
 	p0, anns, cands := batchFixture(8)
-	seq := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
-	want := seq.DistanceBatch(p0, cands)
-	for _, workers := range []int{2, 4, 16} {
-		par := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
+	class := valuation.NewCancelSingleAnnotation(anns)
+	want := oracleDistances(func() *Estimator { return estimator(class, Euclidean()) }, p0, cands, class.Valuations())
+	for _, workers := range []int{1, 2, 4, 16} {
+		par := estimator(class, Euclidean())
 		par.Parallelism = workers
-		got := par.DistanceBatch(p0, cands)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("parallelism %d candidate %d: %v != %v", workers, i, got[i], want[i])
-			}
-		}
+		sameBits(t, fmt.Sprintf("parallelism %d", workers), par.DistanceBatch(p0, cands), want)
 	}
 }
 
 // TestDistanceBatchSharedSamples pins the common-random-numbers
 // semantics of sampling mode: one sample set per call, shared by every
 // candidate — so identical candidates score identically within a call,
-// and the same seed reproduces the same distances at any Parallelism.
+// and every Parallelism equals the oracle over the draws replayed from
+// the seed.
 func TestDistanceBatchSharedSamples(t *testing.T) {
 	p0, anns, cands := batchFixture(8)
 	// Duplicate one candidate: under shared samples its two copies must
 	// score identically (per-candidate fresh draws would almost surely
 	// differ).
 	cands = append(cands, cands[0])
-	run := func(workers int) []float64 {
-		e := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
+	class := valuation.NewCancelSingleAnnotation(anns)
+	want := oracleDistances(func() *Estimator { return estimator(class, Euclidean()) }, p0, cands, sampleVals(class, 7, 5))
+	for _, workers := range []int{1, 4} {
+		e := estimator(class, Euclidean())
 		e.Samples = 5
 		e.Rand = rand.New(rand.NewSource(7))
 		e.Parallelism = workers
-		return e.DistanceBatch(p0, cands)
-	}
-	d1 := run(1)
-	if d1[0] != d1[len(d1)-1] {
-		t.Fatalf("duplicated candidate scored %v vs %v under shared samples", d1[0], d1[len(d1)-1])
-	}
-	for _, workers := range []int{1, 4} {
-		d2 := run(workers)
-		for i := range d1 {
-			if d1[i] != d2[i] {
-				t.Fatalf("workers=%d candidate %d: %v != %v with same seed", workers, i, d1[i], d2[i])
-			}
+		got := e.DistanceBatch(p0, cands)
+		if got[0] != got[len(got)-1] {
+			t.Fatalf("duplicated candidate scored %v vs %v under shared samples", got[0], got[len(got)-1])
 		}
+		sameBits(t, fmt.Sprintf("workers=%d", workers), got, want)
 	}
 }
 
@@ -169,20 +164,12 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// The acceptance benchmark pair: one enumeration-mode step with >= 20
-// candidates, scored candidate-major (one Distance call each) vs through
-// the valuation-major DistanceBatch sweep. The step is a mid-run one —
-// 24 original users already summarized into 8 groups of 3, with the 28
-// group pairs as candidates — because that is where candidate-major
-// scoring repeats the most work: every probe re-combines every shared
-// group's φ truth per valuation, which the sweep computes once per
-// valuation for the whole cohort. Run with
-// `go test -bench=SummarizeStepScoring ./internal/distance`.
-
-// stepScenario is the shared mid-run step the scoring benchmarks
-// compare on: the original, the current summary, the step's cumulative
-// mapping and inverse view, and the candidate cohort both as member sets
-// (delta scoring) and as materialized BatchCandidates.
+// stepScenario is a mid-run enumeration-mode step: 24 original users
+// already summarized into 8 groups of 3, with the 28 group pairs as
+// candidates. It holds the original, the current summary, the step's
+// cumulative mapping and inverse view, and the candidate cohort both as
+// member sets (delta scoring) and as materialized BatchCandidates (the
+// oracle's input). BenchmarkSummarizeStepScoringDelta times it.
 type stepScenario struct {
 	p0    *provenance.Agg
 	anns  []provenance.Annotation
@@ -239,38 +226,4 @@ func benchStep(tb testing.TB) stepScenario {
 		tb.Fatalf("only %d candidates, want >= 20", len(cands))
 	}
 	return stepScenario{p0: p0, anns: anns, cur: cur, cum: cum, base: base, sets: sets, cands: cands}
-}
-
-func BenchmarkSummarizeStepScoringPerCandidate(b *testing.B) {
-	sc := benchStep(b)
-	e := estimator(valuation.NewCancelSingleAnnotation(sc.anns), Euclidean())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, c := range sc.cands {
-			e.Distance(sc.p0, c.Expr, c.Cumulative, c.Groups)
-		}
-	}
-}
-
-func BenchmarkSummarizeStepScoringBatch(b *testing.B) {
-	sc := benchStep(b)
-	e := estimator(valuation.NewCancelSingleAnnotation(sc.anns), Euclidean())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.DistanceBatch(sc.p0, sc.cands)
-	}
-}
-
-// BenchmarkSummarizeStepScoringLegacyBatch is the arena A/B partner of
-// BenchmarkSummarizeStepScoringBatch: the same cohort sweep with
-// LegacyEval forcing recursive interface-dispatch evaluation. The gap
-// between the pair is the compiled-arena speedup on the batch path.
-func BenchmarkSummarizeStepScoringLegacyBatch(b *testing.B) {
-	sc := benchStep(b)
-	e := estimator(valuation.NewCancelSingleAnnotation(sc.anns), Euclidean())
-	e.LegacyEval = true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.DistanceBatch(sc.p0, sc.cands)
-	}
 }

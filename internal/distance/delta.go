@@ -215,9 +215,9 @@ func (d *deltaTruths) truthOf(m provenance.Annotation, id int32) int {
 // every member's pre-merge truth reuses the base evaluation's VAL-FUNC
 // value outright (counted in Stats.DeltaSkips); (3) when truths do
 // change, only the dirty subtrees re-evaluate, lanes in bulk
-// (Stats.DeltaSubtreeEvals). ScalarEval — or a non-blockable arena —
-// falls back to the per-valuation scalar sweep; the two are
-// bit-identical.
+// (Stats.DeltaSubtreeEvals). A plan whose arena is not blockable
+// (negative compiled constants) takes the per-valuation scalar sweep
+// instead; the two are bit-identical.
 //
 // It returns the per-candidate distances and candidate sizes, computed
 // incrementally (equal to Apply(...).Size()). ok is false — and the
@@ -235,7 +235,7 @@ func (e *Estimator) DistanceDelta(p0, cur provenance.Expression, cum provenance.
 	if plan == nil {
 		return nil, nil, false
 	}
-	blocked := !e.ScalarEval && plan.Arena().Blockable()
+	blocked := plan.Arena().Blockable()
 	truths := newDeltaTruths(plan, base, e.Phi)
 	probes := make([]*deltaProbe, len(cohort))
 	for i, ms := range cohort {
@@ -365,22 +365,14 @@ func (e *Estimator) DistanceDelta(p0, cur provenance.Expression, cum provenance.
 		}
 	}
 
-	n := float64(len(vals))
 	for i, total := range out {
-		d := total / n
-		if e.MaxError > 0 {
-			d /= e.MaxError
-			if d > 1 {
-				d = 1
-			}
-		}
-		out[i] = d
+		out[i] = e.normalize(total, len(vals))
 	}
 	return out, sizes, true
 }
 
 // deltaSweep scores probes[lo:hi] against every valuation: the scalar
-// fallback of the blocked sweep (ScalarEval, non-blockable arenas). Each
+// fallback of the blocked sweep for non-blockable arenas. Each
 // call takes a pooled truth fork and arena scratch, so concurrent sweeps
 // over disjoint ranges share only the read-only plan, probes, truth name
 // tables, and prewarmed original cache, plus the atomic counters.

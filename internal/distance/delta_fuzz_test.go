@@ -29,7 +29,9 @@ var fuzzPool = []provenance.Annotation{"a", "b", "c", "d", "e"}
 
 // fuzzPoly generates a random polynomial over fuzzPool covering every
 // node kind the plan compiler knows, with small integer constants so
-// all arithmetic stays exact in float64.
+// all arithmetic stays exact in float64. Constants range over [-2, 2]:
+// a negative one makes the arena non-blockable, which sends the delta
+// engine down its scalar sweep.
 func fuzzPoly(r *fuzzReader, depth int) provenance.Expr {
 	if depth <= 0 {
 		return provenance.V(fuzzPool[int(r.next())%len(fuzzPool)])
@@ -38,7 +40,7 @@ func fuzzPoly(r *fuzzReader, depth int) provenance.Expr {
 	case 0:
 		return provenance.V(fuzzPool[int(r.next())%len(fuzzPool)])
 	case 1:
-		return provenance.Const{N: int(r.next()) % 3}
+		return provenance.Const{N: int(r.next())%5 - 2}
 	case 2:
 		return provenance.Sum{Terms: []provenance.Expr{fuzzPoly(r, depth-1), fuzzPoly(r, depth-1)}}
 	case 3:
@@ -118,12 +120,12 @@ func fuzzScenario(r *fuzzReader) (p0 *provenance.Agg, cur provenance.Expression,
 	return p0, cur, cum, base, anns, sets, cands
 }
 
-// FuzzDistanceDelta is the differential oracle for the delta engine:
+// FuzzDistanceDelta is the differential test of the scoring engines:
 // on random expressions, prior merges, cohorts, combiners and monoids,
-// DistanceDelta must be bitwise equal to both the per-candidate
-// Distance reference and the DistanceBatch sweep — in enumeration mode
-// and in seeded sampling mode — and its incremental sizes must equal
-// the materialized candidates' sizes.
+// DistanceDelta, DistanceBatch and Distance must equal the
+// ReferenceDistance oracle bit for bit — in enumeration mode and in
+// seeded sampling mode — and the incremental sizes must equal the
+// materialized candidates' sizes.
 func FuzzDistanceDelta(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
@@ -135,71 +137,41 @@ func FuzzDistanceDelta(f *testing.F) {
 		if len(sets) == 0 {
 			return
 		}
+		class := valuation.NewCancelSingleAnnotation(anns)
 		for _, phi := range []provenance.Combiner{provenance.CombineOr, provenance.CombineAnd} {
-			d := &Estimator{Class: valuation.NewCancelSingleAnnotation(anns), Phi: phi, VF: Euclidean()}
-			got, sizes, ok := d.DistanceDelta(p0, cur, cum, base, sets, "Z")
+			newEst := func() *Estimator { return &Estimator{Class: class, Phi: phi, VF: Euclidean()} }
+			want := oracleDistances(newEst, p0, cands, class.Valuations())
+			got, sizes, ok := newEst().DistanceDelta(p0, cur, cum, base, sets, "Z")
 			if !ok {
 				t.Fatalf("DistanceDelta fell back on a plain aggregation: %v", cur)
 			}
-			b := &Estimator{Class: valuation.NewCancelSingleAnnotation(anns), Phi: phi, VF: Euclidean()}
-			batch := b.DistanceBatch(p0, cands)
-			// Legacy references force the recursive tree evaluator, so the
-			// fuzzer is also an arena-vs-legacy differential oracle.
-			refLegacy := &Estimator{Class: valuation.NewCancelSingleAnnotation(anns), Phi: phi, VF: Euclidean(), LegacyEval: true}
-			bLegacy := &Estimator{Class: valuation.NewCancelSingleAnnotation(anns), Phi: phi, VF: Euclidean(), LegacyEval: true}
-			batchLegacy := bLegacy.DistanceBatch(p0, cands)
-			// Scalar-arena references (ScalarEval) pin the valuation-
-			// blocked kernel to the per-valuation arena path: the
-			// block-vs-scalar differential oracle on both cohort engines.
-			dScalar := &Estimator{Class: valuation.NewCancelSingleAnnotation(anns), Phi: phi, VF: Euclidean(), ScalarEval: true}
-			scalarDelta, _, ok := dScalar.DistanceDelta(p0, cur, cum, base, sets, "Z")
-			if !ok {
-				t.Fatal("scalar DistanceDelta fell back on a plain aggregation")
-			}
-			bScalar := &Estimator{Class: valuation.NewCancelSingleAnnotation(anns), Phi: phi, VF: Euclidean(), ScalarEval: true}
-			scalarBatch := bScalar.DistanceBatch(p0, cands)
-			ref := &Estimator{Class: valuation.NewCancelSingleAnnotation(anns), Phi: phi, VF: Euclidean()}
+			sameBits(t, "φ="+phi.Name()+" delta", got, want)
+			sameBits(t, "φ="+phi.Name()+" batch", newEst().DistanceBatch(p0, cands), want)
+			e := newEst()
 			for i, c := range cands {
-				want := ref.Distance(p0, c.Expr, c.Cumulative, c.Groups)
-				if got[i] != want {
-					t.Fatalf("φ=%s candidate %d (%v): delta %v != distance %v\ncur=%v", phi.Name(), i, sets[i], got[i], want, cur)
-				}
-				if got[i] != batch[i] {
-					t.Fatalf("φ=%s candidate %d (%v): delta %v != batch %v\ncur=%v", phi.Name(), i, sets[i], got[i], batch[i], cur)
-				}
-				if legacy := refLegacy.Distance(p0, c.Expr, c.Cumulative, c.Groups); got[i] != legacy {
-					t.Fatalf("φ=%s candidate %d (%v): arena %v != legacy distance %v\ncur=%v", phi.Name(), i, sets[i], got[i], legacy, cur)
-				}
-				if got[i] != batchLegacy[i] {
-					t.Fatalf("φ=%s candidate %d (%v): arena %v != legacy batch %v\ncur=%v", phi.Name(), i, sets[i], got[i], batchLegacy[i], cur)
-				}
-				if got[i] != scalarDelta[i] {
-					t.Fatalf("φ=%s candidate %d (%v): blocked delta %v != scalar delta %v\ncur=%v", phi.Name(), i, sets[i], got[i], scalarDelta[i], cur)
-				}
-				if batch[i] != scalarBatch[i] {
-					t.Fatalf("φ=%s candidate %d (%v): blocked batch %v != scalar batch %v\ncur=%v", phi.Name(), i, sets[i], batch[i], scalarBatch[i], cur)
+				if d := e.Distance(p0, c.Expr, c.Cumulative, c.Groups); d != want[i] {
+					t.Fatalf("φ=%s candidate %d (%v): distance %v != oracle %v\ncur=%v", phi.Name(), i, sets[i], d, want[i], cur)
 				}
 				if want := c.Expr.Size(); sizes[i] != want {
 					t.Fatalf("φ=%s candidate %d (%v): incremental size %d != Apply size %d", phi.Name(), i, sets[i], sizes[i], want)
 				}
 			}
 
-			// Sampling mode with common random numbers: same seed, same
-			// distances on both cohort paths.
-			ds := &Estimator{Class: valuation.NewCancelSingleAnnotation(anns), Phi: phi, VF: Euclidean(),
-				Samples: 4, Rand: rand.New(rand.NewSource(3))}
-			sampledDelta, _, ok := ds.DistanceDelta(p0, cur, cum, base, sets, "Z")
+			// Sampling mode with common random numbers: both cohort paths
+			// equal the oracle over the draws replayed from the seed.
+			sampler := func() *Estimator {
+				e := newEst()
+				e.Samples = 4
+				e.Rand = rand.New(rand.NewSource(3))
+				return e
+			}
+			want = oracleDistances(newEst, p0, cands, sampleVals(class, 3, 4))
+			sampledDelta, _, ok := sampler().DistanceDelta(p0, cur, cum, base, sets, "Z")
 			if !ok {
 				t.Fatal("sampled DistanceDelta fell back")
 			}
-			bs := &Estimator{Class: valuation.NewCancelSingleAnnotation(anns), Phi: phi, VF: Euclidean(),
-				Samples: 4, Rand: rand.New(rand.NewSource(3))}
-			sampledBatch := bs.DistanceBatch(p0, cands)
-			for i := range sets {
-				if sampledDelta[i] != sampledBatch[i] {
-					t.Fatalf("φ=%s sampled candidate %d (%v): delta %v != batch %v", phi.Name(), i, sets[i], sampledDelta[i], sampledBatch[i])
-				}
-			}
+			sameBits(t, "φ="+phi.Name()+" sampled delta", sampledDelta, want)
+			sameBits(t, "φ="+phi.Name()+" sampled batch", sampler().DistanceBatch(p0, cands), want)
 		}
 	})
 }

@@ -47,32 +47,12 @@ type Estimator struct {
 	// MaxError, when positive, normalizes distances into [0,1] by
 	// dividing by the maximum possible error (Sec. 6.3).
 	MaxError float64
-	// Parallelism, when > 1, fans DistanceBatch's candidate sweep across
-	// that many goroutines. Sampling draws happen up front on the calling
-	// goroutine and per-candidate sums accumulate in fixed valuation
-	// order, so batched results are bit-identical at any worker count.
+	// Parallelism, when > 1, fans the DistanceDelta and DistanceBatch
+	// sweeps across that many goroutines. Sampling draws happen up front
+	// on the calling goroutine and per-candidate sums accumulate in fixed
+	// valuation order, so results are bit-identical at any worker count.
 	// Distance (single-candidate) is unaffected.
 	Parallelism int
-	// LegacyEval forces the recursive interface-dispatch evaluator for
-	// Distance and DistanceBatch instead of compiling candidates into
-	// the flat arena (provenance.CompileArena). Results are
-	// bit-identical either way; the flag exists as an A/B switch and for
-	// the arena-vs-legacy differential tests. DistanceDelta is
-	// unaffected: the plan/probe engine is arena-native.
-	LegacyEval bool
-	// ScalarEval forces per-valuation scalar arena evaluation instead of
-	// the valuation-blocked kernel (provenance.Arena.EvalBlock) in
-	// Distance, DistanceBatch and DistanceDelta. Results are
-	// bit-identical either way; the flag exists as an A/B switch and for
-	// the block-vs-scalar differential tests. Arenas that are not
-	// Blockable (negative compiled constants) take the scalar path
-	// regardless of the flag.
-	ScalarEval bool
-	// NoMergePatch disables CommitMerge's in-place plan patching
-	// (provenance.Plan.ApplyMerge), so every summarization step
-	// recompiles its plan from the committed expression. The flag exists
-	// as an A/B switch for the patch-vs-recompile equivalence tests.
-	NoMergePatch bool
 
 	origCache map[string]provenance.Result
 	cachedFor provenance.Expression
@@ -101,9 +81,8 @@ type Estimator struct {
 }
 
 // estimatorCounters are the estimator's live instrumentation. They are
-// atomics because enumeration-mode estimators are shared by parallel
-// candidate-evaluation workers (core.Config.Parallelism), which hit the
-// prewarmed cache concurrently.
+// atomics because the workers of a cohort sweep (Parallelism) update
+// them concurrently.
 type estimatorCounters struct {
 	evaluations   atomic.Uint64
 	cacheHits     atomic.Uint64
@@ -221,35 +200,47 @@ func (e *Estimator) Validate() error {
 
 // Distance computes the (possibly normalized) distance between the
 // original expression p0 and the candidate summary pc, where cumulative
-// is the mapping with h(p0) = pc and groups is its inverse view.
+// is the mapping with h(p0) = pc and groups is its inverse view. An
+// aggregated pc whose arena is blockable evaluates on the
+// valuation-blocked kernel; any other pc tree-walks through
+// ReferenceDistance. Both give the same bits.
 func (e *Estimator) Distance(p0, pc provenance.Expression, cumulative provenance.Mapping, groups provenance.Groups) float64 {
 	t0 := time.Now()
 	defer func() {
 		e.stats.distanceCalls.Add(1)
 		e.stats.distanceNanos.Add(int64(time.Since(t0)))
 	}()
-	ev := e.candEvaluator(pc)
-	if ev != nil && !e.ScalarEval && ev.ar.Blockable() {
-		return e.distanceBlocked(p0, pc, cumulative, groups, ev.ar)
+	vals := e.batchValuations()
+	if g, ok := pc.(*provenance.Agg); ok {
+		if ar := provenance.CompileArena(g); ar != nil && ar.Blockable() {
+			return e.distanceBlocked(p0, pc, cumulative, groups, ar, vals)
+		}
 	}
+	return e.ReferenceDistance(p0, pc, cumulative, groups, vals)
+}
+
+// ReferenceDistance is the plain loop of Definition 3.2.2 over the
+// explicit valuations vals: for each v it evaluates p0 under v (memoized
+// per valuation name), aligns the result into pc's result space,
+// evaluates pc by tree walk under the extended valuation v^{h,φ}, and
+// averages the VAL-FUNC values in valuation order. It is the oracle the
+// scoring engines are tested against, and Distance's path for inputs the
+// blocked kernel cannot take.
+func (e *Estimator) ReferenceDistance(p0, pc provenance.Expression, cumulative provenance.Mapping, groups provenance.Groups, vals []provenance.Valuation) float64 {
 	var total float64
-	var n int
-	if e.Samples > 0 {
-		if e.Rand == nil {
-			panic("distance: Estimator.Samples > 0 requires Estimator.Rand (see Estimator.Validate)")
-		}
-		for i := 0; i < e.Samples; i++ {
-			v := e.Class.Sample(e.Rand)
-			e.stats.samples.Add(1)
-			total += e.valFuncAt(v, p0, pc, cumulative, groups, ev)
-			n++
-		}
-	} else {
-		for _, v := range e.Class.Valuations() {
-			total += e.valFuncAt(v, p0, pc, cumulative, groups, ev)
-			n++
-		}
+	for _, v := range vals {
+		e.stats.evaluations.Add(1)
+		aligned := pc.AlignResult(e.evalOriginal(v, p0), cumulative)
+		summ := pc.Eval(provenance.ExtendValuation(v, groups, e.Phi))
+		total += e.VF.F(v, aligned, summ)
 	}
+	return e.normalize(total, len(vals))
+}
+
+// normalize turns a sum of n VAL-FUNC values into the distance: their
+// mean, divided by MaxError and capped at 1 when MaxError is set. It is
+// 0 when n is 0.
+func (e *Estimator) normalize(total float64, n int) float64 {
 	if n == 0 {
 		return 0
 	}
@@ -267,9 +258,9 @@ func (e *Estimator) Distance(p0, pc provenance.Expression, cumulative provenance
 // the drawn sample set) is packed into 64-lane truth blocks and the
 // candidate evaluates once per block through Arena.EvalBlock instead of
 // once per valuation on the scalar arena. VAL-FUNC summands accumulate
-// in valuation order, so the result is bit-identical to the scalar path.
-func (e *Estimator) distanceBlocked(p0, pc provenance.Expression, cumulative provenance.Mapping, groups provenance.Groups, ar *provenance.Arena) float64 {
-	vals := e.batchValuations()
+// in valuation order, so the result is bit-identical to
+// ReferenceDistance.
+func (e *Estimator) distanceBlocked(p0, pc provenance.Expression, cumulative provenance.Mapping, groups provenance.Groups, ar *provenance.Arena, vals []provenance.Valuation) float64 {
 	if len(vals) == 0 {
 		return 0
 	}
@@ -303,14 +294,7 @@ func (e *Estimator) distanceBlocked(p0, pc provenance.Expression, cumulative pro
 			total += e.VF.F(v, aligned, summ[j])
 		}
 	}
-	d := total / float64(len(vals))
-	if e.MaxError > 0 {
-		d /= e.MaxError
-		if d > 1 {
-			d = 1
-		}
-	}
-	return d
+	return e.normalize(total, len(vals))
 }
 
 // CommitMerge tells the estimator that the summarizer committed the merge
@@ -319,14 +303,14 @@ func (e *Estimator) distanceBlocked(p0, pc provenance.Expression, cumulative pro
 // (provenance.Plan.ApplyMerge) and rekeyed to next, so the next step's
 // DistanceDelta reuses the compiled arena instead of recompiling the
 // whole expression. ApplyMerge self-verifies against next; a refused
-// patch (or NoMergePatch) just drops the cached plan and the next step
-// recompiles — either way results are unchanged.
+// patch just drops the cached plan and the next step recompiles — either
+// way results are unchanged.
 func (e *Estimator) CommitMerge(cur, next provenance.Expression, members []provenance.Annotation, newAnn provenance.Annotation) {
 	if e.plan == nil || !comparableExpr(cur) || e.planFor != cur {
 		return
 	}
 	ng, ok := next.(*provenance.Agg)
-	if !ok || e.NoMergePatch || !comparableExpr(next) {
+	if !ok || !comparableExpr(next) {
 		e.plan = nil
 		e.planFor = nil
 		e.stats.mergeRecompiles.Add(1)
@@ -340,59 +324,6 @@ func (e *Estimator) CommitMerge(cur, next provenance.Expression, members []prove
 		e.planFor = nil
 		e.stats.mergeRecompiles.Add(1)
 	}
-}
-
-// valFuncAt evaluates one summand of Definition 3.2.2. When ev is
-// non-nil the candidate evaluates on its compiled arena (one bitset
-// fill plus an iterative pass over the node arrays) instead of the
-// recursive tree walk; the two are bit-identical.
-func (e *Estimator) valFuncAt(v provenance.Valuation, p0, pc provenance.Expression, cumulative provenance.Mapping, groups provenance.Groups, ev *arenaEvaluator) float64 {
-	e.stats.evaluations.Add(1)
-	orig := e.evalOriginal(v, p0)
-	aligned := pc.AlignResult(orig, cumulative)
-	ext := provenance.ExtendValuation(v, groups, e.Phi)
-	var summ provenance.Result
-	if ev != nil {
-		summ = ev.eval(ext)
-	} else {
-		summ = pc.Eval(ext)
-	}
-	return e.VF.F(v, aligned, summ)
-}
-
-// arenaEvaluator owns the compiled arena of one candidate expression
-// plus the per-evaluator truth bitset and scratch. It amortizes the one
-// CompileArena pass over every valuation of a Distance call.
-type arenaEvaluator struct {
-	ar   *provenance.Arena
-	s    *provenance.ArenaScratch
-	bits provenance.Bitset
-}
-
-// candEvaluator compiles pc for arena evaluation, or returns nil — and
-// the caller falls back to interface dispatch — when LegacyEval is set
-// or pc is not a compilable aggregated expression.
-func (e *Estimator) candEvaluator(pc provenance.Expression) *arenaEvaluator {
-	if e.LegacyEval {
-		return nil
-	}
-	g, ok := pc.(*provenance.Agg)
-	if !ok {
-		return nil
-	}
-	ar := provenance.CompileArena(g)
-	if ar == nil {
-		return nil
-	}
-	return &arenaEvaluator{ar: ar, s: ar.NewScratch(), bits: ar.NewTruths()}
-}
-
-// eval evaluates the compiled candidate under the extended valuation:
-// truths are pulled once per interned annotation (instead of once per
-// occurrence) and the node pass is iterative.
-func (ae *arenaEvaluator) eval(ext provenance.Valuation) provenance.Result {
-	ae.ar.FillTruths(ae.bits, ext.Truth)
-	return ae.ar.Eval(ae.bits, ae.s)
 }
 
 // comparableExpr reports whether an Expression's dynamic type supports
@@ -490,17 +421,6 @@ func (e *Estimator) planOf(cur provenance.Expression) *provenance.Plan {
 		e.planFor = cur
 	}
 	return e.plan
-}
-
-// Prewarm fills the original-expression cache with the evaluation of p0
-// under every valuation of the class. After a prewarm, enumeration-mode
-// Distance calls only read the cache, which makes the estimator safe for
-// concurrent use by parallel candidate evaluation (sampling mode draws
-// fresh valuations and must not be shared across goroutines).
-func (e *Estimator) Prewarm(p0 provenance.Expression) {
-	for _, v := range e.Class.Valuations() {
-		e.evalOriginal(v, p0)
-	}
 }
 
 // SampleSize returns a number of Monte-Carlo samples sufficient for

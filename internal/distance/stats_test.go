@@ -2,7 +2,6 @@ package distance
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/provenance"
@@ -50,53 +49,6 @@ func TestStatsCountsCacheAndEvaluations(t *testing.T) {
 	e.ResetCache()
 	if got := e.Stats().CacheResets; got != 1 {
 		t.Fatalf("CacheResets after idempotent reset = %d, want 1", got)
-	}
-}
-
-// TestPrewarmMakesParallelLookupsHits pins the contract that parallel
-// candidate evaluation relies on: after Prewarm, concurrent Distance
-// calls only read the original-expression cache — every lookup is a hit
-// and the miss count never moves.
-func TestPrewarmMakesParallelLookupsHits(t *testing.T) {
-	p0 := matchPoint()
-	class := valuation.NewCancelSingleAnnotation([]provenance.Annotation{"U1", "U2", "U3"})
-	e := estimator(class, AbsDiff(nil))
-
-	e.Prewarm(p0)
-	st := e.Stats()
-	if st.CacheMisses != 3 {
-		t.Fatalf("prewarm misses = %d, want 3", st.CacheMisses)
-	}
-	missesAfterPrewarm := st.CacheMisses
-
-	// The three candidate pairs of the running example, probed like
-	// core's parallel workers do.
-	merges := []provenance.Mapping{
-		provenance.MergeMapping("S", "U1", "U2"),
-		provenance.MergeMapping("S", "U1", "U3"),
-		provenance.MergeMapping("S", "U2", "U3"),
-	}
-	var wg sync.WaitGroup
-	for _, h := range merges {
-		wg.Add(1)
-		go func(h provenance.Mapping) {
-			defer wg.Done()
-			pc := p0.Apply(h)
-			groups := provenance.GroupsOf(p0.Annotations(), h)
-			e.Distance(p0, pc, h, groups)
-		}(h)
-	}
-	wg.Wait()
-
-	st = e.Stats()
-	if st.CacheMisses != missesAfterPrewarm {
-		t.Fatalf("parallel lookups missed: misses = %d, want %d", st.CacheMisses, missesAfterPrewarm)
-	}
-	if want := uint64(len(merges) * 3); st.CacheHits != want {
-		t.Fatalf("parallel hits = %d, want %d", st.CacheHits, want)
-	}
-	if st.DistanceCalls != uint64(len(merges)) {
-		t.Fatalf("DistanceCalls = %d, want %d", st.DistanceCalls, len(merges))
 	}
 }
 

@@ -36,9 +36,9 @@ type Options struct {
 	// /metrics counters can never drift apart. The per-candidate figure
 	// is total scoring wall time (Distance calls plus DistanceBatch and
 	// DistanceDelta sweeps) divided by total candidates scored
-	// (DistanceCalls + BatchCandidates + DeltaCandidates), so it stays
-	// comparable across the candidate-major, batched, and delta scoring
-	// paths.
+	// (DistanceCalls + BatchCandidates + DeltaCandidates). Without it the
+	// column divides Summary.CandidateTime, the wall time of the cohort
+	// sweeps plus the initial distance, by the candidates evaluated.
 	TimingFromStats bool
 }
 

@@ -94,16 +94,41 @@ func (f *FlightRecorder) Capture(reason string, trace TraceID) (string, error) {
 
 	dir := filepath.Join(f.cfg.Dir, fmt.Sprintf("%s-%03d-%s",
 		now.UTC().Format("20060102T150405"), seq, sanitizeReason(reason)))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-
 	meta := flightMeta{Reason: reason, CapturedAt: now, CPUProfile: f.cfg.CPUProfile > 0}
 	if !trace.IsZero() {
 		meta.Trace = trace.String()
 	}
-	if err := writeJSON(filepath.Join(dir, "meta.json"), meta); err != nil {
+	// Build the bundle under a dot-prefixed temporary name and rename it
+	// into place, so a reader never sees a half-written bundle.
+	tmp, err := os.MkdirTemp(f.cfg.Dir, ".capture-")
+	if err != nil {
 		return "", err
+	}
+	if err := f.writeBundle(tmp, meta, trace); err != nil {
+		_ = os.RemoveAll(tmp)
+		return "", err
+	}
+	if err := os.Rename(tmp, dir); err != nil {
+		_ = os.RemoveAll(tmp)
+		return "", err
+	}
+
+	if f.cfg.CPUProfile > 0 {
+		go f.cpuProfile(dir)
+	}
+
+	f.captures.Inc()
+	f.cfg.Log.Warn("flight recorder capture", "reason", reason, "dir", dir, "trace", meta.Trace)
+	return dir, nil
+}
+
+// writeBundle writes meta.json, goroutines.txt and trace.json into dir.
+func (f *FlightRecorder) writeBundle(dir string, meta flightMeta, trace TraceID) error {
+	if err := os.Chmod(dir, 0o755); err != nil {
+		return err
+	}
+	if err := writeJSON(filepath.Join(dir, "meta.json"), meta); err != nil {
+		return err
 	}
 
 	if g, err := os.Create(filepath.Join(dir, "goroutines.txt")); err == nil {
@@ -124,31 +149,34 @@ func (f *FlightRecorder) Capture(reason string, trace TraceID) (string, error) {
 			})
 		}
 	}
-
-	if f.cfg.CPUProfile > 0 {
-		go f.cpuProfile(dir)
-	}
-
-	f.captures.Inc()
-	f.cfg.Log.Warn("flight recorder capture", "reason", reason, "dir", dir, "trace", meta.Trace)
-	return dir, nil
+	return nil
 }
 
-// cpuProfile records a CPU profile into dir. Errors (e.g. another
-// profile already running) are logged and dropped — the rest of the
-// bundle is already on disk.
+// cpuProfile records a CPU profile into the published bundle dir, under
+// a dot-prefixed temporary name renamed to cpu.pprof once complete, so
+// a reader never sees a truncated profile. Errors (e.g. another profile
+// already running) are logged and dropped — the rest of the bundle is
+// already on disk.
 func (f *FlightRecorder) cpuProfile(dir string) {
-	out, err := os.Create(filepath.Join(dir, "cpu.pprof"))
+	tmp := filepath.Join(dir, ".cpu.pprof.tmp")
+	out, err := os.Create(tmp)
 	if err != nil {
 		return
 	}
-	defer out.Close()
 	if err := pprof.StartCPUProfile(out); err != nil {
 		f.cfg.Log.Debug("flight recorder cpu profile unavailable", "err", err)
+		_ = out.Close()
+		_ = os.Remove(tmp)
 		return
 	}
 	time.Sleep(f.cfg.CPUProfile)
 	pprof.StopCPUProfile()
+	if err := out.Close(); err != nil {
+		f.cfg.Log.Debug("flight recorder cpu profile write failed", "err", err)
+		_ = os.Remove(tmp)
+		return
+	}
+	_ = os.Rename(tmp, filepath.Join(dir, "cpu.pprof"))
 }
 
 func writeJSON(path string, v any) error {

@@ -15,6 +15,7 @@
 package parse
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -131,6 +132,8 @@ func lex(src string) ([]token, error) {
 				// numbers in this grammar never touch identifiers, keep simple
 				l.pos++
 			}
+			// An exponent, as %g prints large and small values ("1e+21").
+			l.pos += l.exponentLen()
 			l.toks = append(l.toks, token{kind: tNumber, text: l.src[start:l.pos], pos: start})
 		default:
 			r, width := utf8.DecodeRuneInString(l.src[l.pos:])
@@ -157,6 +160,27 @@ func (l *lexer) emit(k kind, text string, width int) {
 	l.pos += width
 }
 
+// exponentLen returns the length of the exponent suffix [eE][+-]?digits
+// at the current position, or 0 when there is none.
+func (l *lexer) exponentLen() int {
+	rest := l.src[l.pos:]
+	if len(rest) < 2 || rest[0] != 'e' && rest[0] != 'E' {
+		return 0
+	}
+	n := 1
+	if rest[n] == '+' || rest[n] == '-' {
+		n++
+	}
+	digits := n
+	for n < len(rest) && rest[n] >= '0' && rest[n] <= '9' {
+		n++
+	}
+	if n == digits {
+		return 0
+	}
+	return n
+}
+
 func (l *lexer) peekDigit() bool {
 	return l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9'
 }
@@ -165,10 +189,20 @@ func isIdentRune(c rune) bool {
 	return unicode.IsLetter(c) || unicode.IsDigit(c) || c == '_' || c == '-' || c == '.'
 }
 
-// parser holds the token stream.
+// maxDepth caps the nesting of parentheses and guards. The parser
+// recurses once per level, and a goroutine stack overflow is fatal in
+// Go, so deeper input is a parse error (ErrTooDeep) rather than a crash.
+const maxDepth = 200
+
+// ErrTooDeep is wrapped by the error for input nested deeper than the
+// parser accepts.
+var ErrTooDeep = errors.New("parse: expression nested too deeply")
+
+// parser holds the token stream and the current nesting depth.
 type parser struct {
-	toks []token
-	at   int
+	toks  []token
+	at    int
+	depth int
 }
 
 func (p *parser) peek() token { return p.toks[p.at] }
@@ -339,8 +373,16 @@ func (p *parser) factor() (provenance.Expr, error) {
 			return nil, fmt.Errorf("parse: polynomial constants must be naturals, got %q at %d", t.text, t.pos)
 		}
 		return provenance.Const{N: n}, nil
-	case tLParen:
+	case tLParen, tLBrack:
+		if p.depth == maxDepth {
+			return nil, fmt.Errorf("%w: more than %d levels at %d", ErrTooDeep, maxDepth, t.pos)
+		}
+		p.depth++
+		defer func() { p.depth-- }()
 		p.next()
+		if t.kind == tLBrack {
+			return p.guard()
+		}
 		inner, err := p.poly()
 		if err != nil {
 			return nil, err
@@ -349,9 +391,6 @@ func (p *parser) factor() (provenance.Expr, error) {
 			return nil, err
 		}
 		return inner, nil
-	case tLBrack:
-		p.next()
-		return p.guard()
 	default:
 		return nil, p.errHere("expected annotation, constant, '(' or '[', found %q", t.text)
 	}

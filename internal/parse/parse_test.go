@@ -1,6 +1,7 @@
 package parse
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -208,4 +209,68 @@ func TestLexErrors(t *testing.T) {
 	if _, err := Agg(provenance.AggMax, "U1 ⊗ (3,1)@M ⊕ {"); err == nil {
 		t.Fatal("bad character must fail")
 	}
+}
+
+// TestAggDepthLimit: nesting past the parser's depth cap is a parse
+// error wrapping ErrTooDeep, not a stack overflow; nesting up to the cap
+// parses.
+func TestAggDepthLimit(t *testing.T) {
+	nested := func(depth int) string {
+		return strings.Repeat("(", depth) + "U1" + strings.Repeat(")", depth) + " ⊗ (3,1)"
+	}
+	if _, err := Agg(provenance.AggSum, nested(maxDepth)); err != nil {
+		t.Fatalf("depth %d rejected: %v", maxDepth, err)
+	}
+	for _, src := range []string{
+		nested(maxDepth + 1),
+		nested(1 << 20),
+		strings.Repeat("[", 1<<20) + "U1",
+	} {
+		if _, err := Agg(provenance.AggSum, src); !errors.Is(err, ErrTooDeep) {
+			t.Fatalf("deep input of %d bytes: err = %v, want ErrTooDeep", len(src), err)
+		}
+	}
+}
+
+// FuzzParseAgg: parsing never panics, and whatever parses prints back to
+// text that parses to the same expression (String → Agg → String is a
+// fixpoint). The printer writes every annotation bare, so the round trip
+// is checked when every name is a bare identifier (a quoted name with
+// other characters does not print back) and the expression keeps a
+// tensor (the empty aggregation prints as "0"); and it parenthesizes
+// every sum, so a reparse may fail only for exceeding the depth cap.
+func FuzzParseAgg(f *testing.F) {
+	f.Add("U1 ⊗ (3,1)@MatchPoint ⊕ U2 ⊗ (5,1)@MatchPoint")
+	f.Add("U1·[S1·U1 ⊗ 5 > 2] ⊗ (3,1)@M ⊕ (U2 + 2·U3) ⊗ 4")
+	f.Add(`"Match Point" * [a + b (x) 1 != 0] (x) (2.5,3) (+) c (x) 1`)
+	f.Add("((a)) ⊗ (1,1)@g")
+	f.Fuzz(func(t *testing.T, src string) {
+		e, err := Agg(provenance.AggSum, src)
+		if err != nil || len(e.Tensors) == 0 {
+			return
+		}
+		for _, a := range e.Annotations() {
+			if !bareIdent(a) {
+				return
+			}
+		}
+		printed := e.String()
+		again, err := Agg(provenance.AggSum, printed)
+		if errors.Is(err, ErrTooDeep) {
+			return
+		}
+		if err != nil {
+			t.Fatalf("printed form does not parse: %v\nsource:  %q\nprinted: %q", err, src, printed)
+		}
+		if got := again.String(); got != printed {
+			t.Fatalf("round trip changed the expression:\nprinted:  %q\nreparsed: %q", printed, got)
+		}
+	})
+}
+
+// bareIdent reports whether a lexes back as one identifier when printed
+// without quotes.
+func bareIdent(a provenance.Annotation) bool {
+	toks, err := lex(string(a))
+	return err == nil && len(toks) == 2 && toks[0].kind == tIdent && toks[0].text == string(a)
 }

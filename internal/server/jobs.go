@@ -7,7 +7,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -631,8 +630,7 @@ func (s *Server) jobResponseFor(job *jobs.Job) jobResponse {
 // it rather than queueing a second run).
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var req summarizeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeBody(w, r, maxParamsBody, &req) {
 		return
 	}
 	out, status, err := s.submitSummarize(r.Context(), &req, 0, jobs.LaneBulk)

@@ -18,6 +18,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -543,6 +544,39 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// Request body limits. A parameter body (select, summarize, extend,
+// jobs, evaluate) is under 1 KiB; an expression body (custom, ingest)
+// carries provenance text plus its universe, a few KiB for a
+// MovieLens-sized expression. Both limits sit far above that and bound
+// what one request can make the server buffer and parse.
+const (
+	maxParamsBody = 64 << 10
+	maxExprBody   = 1 << 20
+)
+
+// causeBodyTooLarge is the "cause" of a 413 response body.
+const causeBodyTooLarge = "body-too-large"
+
+// decodeBody decodes r's JSON body into v, reading at most limit bytes.
+// When the body is too large (413) or malformed (400) it answers the
+// request itself and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{
+			"error": fmt.Sprintf("request body exceeds %d bytes", limit),
+			"cause": causeBodyTooLarge,
+		})
+		return false
+	}
+	writeErr(w, http.StatusBadRequest, "bad request: %v", err)
+	return false
+}
+
 // movieInfo describes one selectable movie.
 type movieInfo struct {
 	Title string `json:"title"`
@@ -589,8 +623,7 @@ type selectResponse struct {
 // handleSelect implements the selection service.
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	var req selectRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeBody(w, r, maxParamsBody, &req) {
 		return
 	}
 	kind := provenance.AggMax
@@ -745,8 +778,7 @@ type customRequest struct {
 // them.
 func (s *Server) handleCustom(w http.ResponseWriter, r *http.Request) {
 	var req customRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeBody(w, r, maxExprBody, &req) {
 		return
 	}
 	kind := provenance.AggMax
@@ -865,8 +897,7 @@ type summarizeResponse struct {
 // have other waiters — and cancels it only when it was the last waiter.
 func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 	var req summarizeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeBody(w, r, maxParamsBody, &req) {
 		return
 	}
 	out, status, err := s.submitSummarize(r.Context(), &req, 0, jobs.LaneInteractive)
@@ -1050,8 +1081,7 @@ type evaluateResponse struct {
 // handleEvaluate implements the provisioning service.
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	var req evaluateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeBody(w, r, maxParamsBody, &req) {
 		return
 	}
 	sess, ok := s.sessionFor(r.Context(), req.SessionID)

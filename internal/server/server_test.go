@@ -355,6 +355,38 @@ func TestCustomProvenance(t *testing.T) {
 	}
 }
 
+// TestCustomHostileNesting: deeply nested parentheses used to recurse
+// the expression parser into a fatal stack overflow. A 6 MB body of
+// 3M nested parentheses is refused for its size (413 with the error and
+// cause fields), a nesting past the parser's depth cap that fits the
+// limit is a parse error (400), and the server keeps serving.
+func TestCustomHostileNesting(t *testing.T) {
+	_, ts := testServer(t)
+	nested := func(depth int) customRequest {
+		return customRequest{Expression: strings.Repeat("(", depth) + "U1" + strings.Repeat(")", depth) + " (x) 3"}
+	}
+	var body map[string]string
+	res := post(t, ts.URL+"/api/custom", nested(3_000_000), &body)
+	if res.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body status = %d, want 413", res.StatusCode)
+	}
+	if body["cause"] != causeBodyTooLarge || body["error"] == "" {
+		t.Fatalf("oversized body answer = %v, want error and cause %q", body, causeBodyTooLarge)
+	}
+	res = post(t, ts.URL+"/api/custom", nested(maxExprBody/4), nil)
+	if res.StatusCode != http.StatusBadRequest {
+		t.Fatalf("deep nesting within the size limit: status = %d, want 400", res.StatusCode)
+	}
+	res, err := http.Get(ts.URL + "/api/movies")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("server unhealthy after hostile input: status %d", res.StatusCode)
+	}
+}
+
 func TestUIServed(t *testing.T) {
 	_, ts := testServer(t)
 	res, err := http.Get(ts.URL + "/")

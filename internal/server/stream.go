@@ -10,7 +10,6 @@ package server
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -59,8 +58,7 @@ type ingestResponse struct {
 // journal one ingest record so a restarted server replays the append.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req ingestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeBody(w, r, maxExprBody, &req) {
 		return
 	}
 	sess, ok := s.sessionFor(r.Context(), req.SessionID)
@@ -157,8 +155,7 @@ type extendRequest struct {
 // new version whose parent is the seed version.
 func (s *Server) handleExtend(w http.ResponseWriter, r *http.Request) {
 	var req extendRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeBody(w, r, maxParamsBody, &req) {
 		return
 	}
 	sess, ok := s.sessionFor(r.Context(), req.SessionID)

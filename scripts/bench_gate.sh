@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Benchmark regression gate: run the scoring-layout and summary-cache
+# Benchmark regression gate: run the scoring and summary-cache
 # benchmarks, compare each ns/op against the recorded baseline in
 # BENCH_core.json, and fail only on a gross slowdown (> FACTOR x the
 # baseline, default 2.0 — CI runners are noisy, so the gate catches
@@ -44,8 +44,8 @@ run_bench() { # $1 = -bench regexp, $2 = -benchtime, $3 = package
 # the gate's noise budget; single-digit counts measured 2-3x high.
 # -benchmem feeds the allocs/op gate below.
 run_bench 'ArenaEval|AggEval|EvalBlock' 20000x ./internal/provenance/
-run_bench 'SummarizeStepScoring' 50x ./internal/distance/
-run_bench 'SummarizeScoring(Sequential|Batch|Delta)$' 5x .
+run_bench 'SummarizeStepScoringDelta$' 50x ./internal/distance/
+run_bench 'SummarizeScoring(Delta|DDP)$' 5x .
 run_bench 'SummarizeExtend(Cold|Warm)$' 10x .
 run_bench 'ServerSummarizeCache' 100x ./internal/server/
 
